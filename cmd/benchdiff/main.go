@@ -47,7 +47,9 @@ var (
 // (BenchmarkActivity/<dtype>). A kernel or analyzer regression then
 // fails the gate directly, with a per-dtype culprit, instead of only
 // surfacing as a diluted slowdown of whichever figures exercise it.
-const defaultFilter = `^Benchmark(Fig|GEMM/|Activity/)`
+// BenchmarkPredictiveHorizonDeep is the one fleet replay whose queues
+// are deep enough to expose a placement cost that grows with them.
+const defaultFilter = `^Benchmark(Fig|GEMM/|Activity/|PredictiveHorizonDeep$)`
 
 type testEvent struct {
 	Action string `json:"Action"`

@@ -131,6 +131,7 @@ func TestDefaultFilterCoverage(t *testing.T) {
 		"BenchmarkGEMM/INT8",
 		"BenchmarkActivity/FP32",
 		"BenchmarkActivity/BF16-T",
+		"BenchmarkPredictiveHorizonDeep",
 	}
 	for _, name := range gated {
 		if !re.MatchString(name) {
@@ -142,6 +143,7 @@ func TestDefaultFilterCoverage(t *testing.T) {
 		"BenchmarkGEMM",
 		"BenchmarkAnalyze256FP16",
 		"BenchmarkPredict",
+		"BenchmarkSchedule/PredictiveHorizon",
 	}
 	for _, name := range ungated {
 		if re.MatchString(name) {

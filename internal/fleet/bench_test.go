@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/device"
 	"repro/internal/sched"
 )
 
@@ -85,5 +86,33 @@ func BenchmarkSchedule(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkPredictiveHorizonDeep replays a 1024-job default synthetic
+// trace on 4×A100 under a 310 W cap with PredictiveHorizon. Its queues
+// grow far deeper than BenchmarkSchedule's 64 jobs, so a projection
+// whose cost per admission grows faster than the committed work shows
+// here and nowhere else in the bench gate.
+func BenchmarkPredictiveHorizonDeep(b *testing.B) {
+	trace, err := Synthetic(SyntheticConfig{Jobs: 1024, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := Config{
+		Devices:   []*device.Device{device.A100PCIe(), device.A100PCIe(), device.A100PCIe(), device.A100PCIe()},
+		Oracle:    NewModelOracle(),
+		PowerCapW: 310,
+	}
+	// Warm the oracle so iterations time placement and the engine.
+	if _, err := Run(context.Background(), cfg, trace); err != nil {
+		b.Fatal(err)
+	}
+	cfg.Policy = sched.PredictiveHorizon{WindowS: sched.DefaultHorizonWindowS}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(context.Background(), cfg, trace); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -3,12 +3,21 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"flag"
 	"os"
+	"sync"
 	"testing"
 
 	"repro/internal/device"
 	"repro/internal/sched"
 )
+
+// update rewrites testdata/golden_ph_report.json from the current code:
+//
+//	go test ./internal/fleet -run TestPredictiveHorizonGolden -update
+//
+// Only an intended change to PredictiveHorizon's placements justifies it.
+var update = flag.Bool("update", false, "rewrite the PredictiveHorizon golden report")
 
 // goldenConfig reproduces the exact run that generated
 // testdata/golden_ec_report.json with the pre-refactor scheduler
@@ -63,6 +72,85 @@ func TestEarliestCompletionGolden(t *testing.T) {
 	}
 }
 
+// TestPredictiveHorizonGolden pins PredictiveHorizon's full report on
+// the capped schedfront scenario, so a faster projection must place
+// every job exactly as the reference sweep did. The scenario is chosen
+// because PredictiveHorizon defers jobs on it: a trace where it places
+// like EarliestCompletion would leave the deferral path unpinned.
+func TestPredictiveHorizonGolden(t *testing.T) {
+	report := func(p sched.Policy) []byte {
+		cfg, trace := schedfrontConfig(t)
+		cfg.Policy = p
+		b, err := reportJSON(cfg, trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	got := report(sched.PredictiveHorizon{WindowS: sched.DefaultHorizonWindowS})
+	if bytes.Equal(got, report(sched.EarliestCompletion{})) {
+		t.Fatal("PredictiveHorizon places like EarliestCompletion here; the golden would not pin its deferrals")
+	}
+	const path = "testdata/golden_ph_report.json"
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("PredictiveHorizon report differs from %s (%d vs %d bytes)", path, len(got), len(want))
+	}
+}
+
+// TestPredictiveHorizonConcurrentEngines replays one PredictiveHorizon
+// value on two engines at once. Each engine must still reproduce the
+// golden report, and under go test -race any projection scratch shared
+// between the engines shows up as a data race.
+func TestPredictiveHorizonConcurrentEngines(t *testing.T) {
+	want, err := os.ReadFile("testdata/golden_ph_report.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := sched.PredictiveHorizon{WindowS: sched.DefaultHorizonWindowS}
+	got := make([][]byte, 2)
+	errs := make([]error, len(got))
+	var wg sync.WaitGroup
+	for i := range got {
+		cfg, trace := schedfrontConfig(t)
+		cfg.Policy = p
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = reportJSON(cfg, trace)
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatalf("engine %d: %v", i, errs[i])
+		}
+		if !bytes.Equal(got[i], want) {
+			t.Errorf("engine %d: report differs from the golden (%d vs %d bytes)", i, len(got[i]), len(want))
+		}
+	}
+}
+
+// reportJSON runs one replay and returns its report as JSON.
+func reportJSON(cfg Config, trace *Trace) ([]byte, error) {
+	r, err := Run(context.Background(), cfg, trace)
+	if err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	err = r.WriteJSON(&buf)
+	return buf.Bytes(), err
+}
+
 // TestCrossPolicyDeterminism runs every built-in policy twice on the
 // same seed and requires byte-identical reports — the property that
 // makes policy A/B fronts exact diffs rather than statistics.
@@ -114,11 +202,12 @@ type badPolicy struct{}
 func (badPolicy) Name() string                                        { return "Bad" }
 func (badPolicy) Place(sched.Job, []sched.Candidate, sched.Fleet) int { return 99 }
 
-// TestPowerPackReducesThrottle reproduces the examples/schedfront
-// acceptance property: on a capped mixed-encoding stream, packing jobs
-// by dynamic power must yield strictly fewer cap-throttle events than
-// earliest-completion placement, at a makespan cost.
-func TestPowerPackReducesThrottle(t *testing.T) {
+// schedfrontConfig is the capped mixed-encoding schedfront scenario
+// (the CI sched-front and horizon-front fixtures): 96 jobs at 300/s,
+// seed 42, 512² GEMMs on 4×A100 under a 310 W cap. Each call returns a
+// fresh oracle, so reports from separate calls are byte-comparable.
+func schedfrontConfig(t *testing.T) (Config, *Trace) {
+	t.Helper()
 	trace, err := Synthetic(SyntheticConfig{
 		Jobs:     96,
 		RatePerS: 300,
@@ -134,11 +223,19 @@ func TestPowerPackReducesThrottle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{
+	return Config{
 		Devices:   []*device.Device{device.A100PCIe(), device.A100PCIe(), device.A100PCIe(), device.A100PCIe()},
 		Oracle:    smallOracle(),
 		PowerCapW: 310,
-	}
+	}, trace
+}
+
+// TestPowerPackReducesThrottle reproduces the examples/schedfront
+// acceptance property: on a capped mixed-encoding stream, packing jobs
+// by dynamic power must yield strictly fewer cap-throttle events than
+// earliest-completion placement, at a makespan cost.
+func TestPowerPackReducesThrottle(t *testing.T) {
+	cfg, trace := schedfrontConfig(t)
 	front, err := sched.Compare(context.Background(), PolicyRunner(cfg, trace),
 		[]sched.Policy{sched.EarliestCompletion{}, sched.PowerPack{}})
 	if err != nil {
@@ -170,26 +267,7 @@ func TestPowerPackReducesThrottle(t *testing.T) {
 // materially lower makespan. The same three rows are committed as the
 // CI fixture .github/testdata/horizon-front.csv.
 func TestPredictiveHorizonFront(t *testing.T) {
-	trace, err := Synthetic(SyntheticConfig{
-		Jobs:     96,
-		RatePerS: 300,
-		Seed:     42,
-		DTypes:   []string{"FP16", "FP16-T", "INT8"},
-		Patterns: []string{
-			"gaussian(default)", "gaussian(mean=500, std=1)",
-			"constant(7)", "gaussian(default) | sparsify(75%)",
-			"gaussian(default) | sort(rows, 100%)", "gaussian(default) | zerolsb(8)",
-		},
-		Sizes: []int{512},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{
-		Devices:   []*device.Device{device.A100PCIe(), device.A100PCIe(), device.A100PCIe(), device.A100PCIe()},
-		Oracle:    smallOracle(),
-		PowerCapW: 310,
-	}
+	cfg, trace := schedfrontConfig(t)
 	front, err := sched.Compare(context.Background(), PolicyRunner(cfg, trace),
 		[]sched.Policy{sched.EarliestCompletion{}, sched.PowerPack{}, sched.PredictiveHorizon{WindowS: sched.DefaultHorizonWindowS}})
 	if err != nil {

@@ -3,6 +3,7 @@ package sched
 import (
 	"math"
 	"sort"
+	"sync"
 )
 
 // DefaultHorizonWindowS is the projection window PredictiveHorizon uses
@@ -52,19 +53,16 @@ func (p PredictiveHorizon) Place(job Job, cands []Candidate, fleet Fleet) int {
 	}
 	headroomW := fleet.PowerCapW - fleet.IdleSumW
 
+	s := horizonPool.Get().(*horizonScratch)
+	defer horizonPool.Put(s)
+	s.commit(fleet.Timelines, p.WindowS, fleet.TickS)
+
 	bestSafe, bestUnsafe := -1, -1
 	bestSafeEta := math.Inf(1)
 	bestOver, bestUnsafeEta := math.Inf(1), math.Inf(1)
 	for i, c := range cands {
-		// The job starts when the candidate's committed work drains;
-		// each committed segment is padded by one tick because the
-		// simulator detects completions at tick boundaries.
-		start := 0.0
-		for _, seg := range fleet.Timelines[c.Index] {
-			start += seg.DurationS + fleet.TickS
-		}
-		peak := ProjectedPeakW(fleet.Timelines,
-			start, float64(job.Iterations)*c.IterTimeS, c.PowerW-c.IdleW,
+		// The job starts when the candidate's committed work drains.
+		peak := s.peakWith(s.drainS[c.Index], float64(job.Iterations)*c.IterTimeS, c.PowerW-c.IdleW,
 			p.WindowS, fleet.TickS)
 		over := peak - headroomW
 		e := eta(job, c)
@@ -82,44 +80,118 @@ func (p PredictiveHorizon) Place(job Job, cands []Candidate, fleet Fleet) int {
 	return bestUnsafe
 }
 
-// ProjectedPeakW returns the peak concurrent dynamic power demand
-// within [0, windowS) implied by the committed per-instance timelines
-// plus one extra segment — the job under consideration — running at
-// extraDynW watts for extraDurS seconds starting at extraStartS. Every
-// segment is padded by padS (the integration tick) so the projection
-// upper-bounds the simulator's tick-granular start times; demand beyond
-// the window is deliberately invisible, which is what makes the policy
-// a *horizon* rather than an exact solver. The computation is
-// deterministic: segments contribute in fleet order and the sweep is a
-// stable sort over breakpoints.
-func ProjectedPeakW(timelines [][]PowerSegment, extraStartS, extraDurS, extraDynW, windowS, padS float64) float64 {
-	type delta struct{ t, dw float64 }
-	var deltas []delta
-	add := func(start, dur, dw float64) {
-		if dur <= 0 || dw == 0 || start >= windowS {
-			return
-		}
-		deltas = append(deltas, delta{start, dw})
-		if end := start + dur; end < windowS {
-			deltas = append(deltas, delta{end, -dw})
-		}
+// breakpoint is a step in projected dynamic demand: dw watts start
+// (dw > 0) or stop (dw < 0) at time t.
+type breakpoint struct{ t, dw float64 }
+
+// appendBreakpoints appends the steps of one segment running at dw
+// watts for dur seconds from start, as seen through [0, windowS):
+// nothing if it is empty, draws nothing or starts at or past the
+// window, and no stop step if it ends past the window.
+func appendBreakpoints(bps []breakpoint, start, dur, dw, windowS float64) []breakpoint {
+	if dur <= 0 || dw == 0 || start >= windowS {
+		return bps
 	}
+	bps = append(bps, breakpoint{start, dw})
+	if end := start + dur; end < windowS {
+		bps = append(bps, breakpoint{end, -dw})
+	}
+	return bps
+}
+
+// horizonScratch is one admission's projection state. Place borrows it
+// from horizonPool, so concurrent engines never share one.
+type horizonScratch struct {
+	// merged is every committed breakpoint inside the window in time
+	// order, ties in fleet order.
+	merged []breakpoint
+	// drainS[i] is when instance i's committed work drains: the start
+	// of a job placed on it.
+	drainS []float64
+
+	raw   []breakpoint // per-instance breakpoints, concatenated in fleet order
+	next  []int        // merge cursor into instance i's run of raw
+	ends  []int        // end of instance i's run of raw
+	extra []breakpoint // the arriving job's breakpoints
+}
+
+var horizonPool = sync.Pool{New: func() any { return new(horizonScratch) }}
+
+// commit lays out the committed demand once per admission. Every
+// segment is padded by padS (the integration tick) so the projection
+// upper-bounds the simulator's tick-granular start times; demand
+// beyond the window is deliberately invisible, which is what makes the
+// policy a horizon rather than an exact solver.
+//
+// Each instance's breakpoints are already in time order, so merging
+// them with ties going to the lower instance yields exactly the order
+// a stable sort of their fleet-order concatenation would. A negative
+// segment duration breaks that order; the stable sort is then run
+// instead.
+func (s *horizonScratch) commit(timelines [][]PowerSegment, windowS, padS float64) {
+	s.raw, s.next, s.ends, s.drainS = s.raw[:0], s.next[:0], s.ends[:0], s.drainS[:0]
+	sorted := true
 	for _, tl := range timelines {
+		first := len(s.raw)
 		t := 0.0
 		for _, seg := range tl {
-			add(t, seg.DurationS+padS, seg.DynPowerW)
+			s.raw = appendBreakpoints(s.raw, t, seg.DurationS+padS, seg.DynPowerW, windowS)
 			t += seg.DurationS + padS
 		}
+		for k := first + 1; k < len(s.raw); k++ {
+			sorted = sorted && s.raw[k-1].t <= s.raw[k].t
+		}
+		s.next = append(s.next, first)
+		s.ends = append(s.ends, len(s.raw))
+		s.drainS = append(s.drainS, t)
 	}
-	add(extraStartS, extraDurS+padS, extraDynW)
 
-	sort.SliceStable(deltas, func(a, b int) bool { return deltas[a].t < deltas[b].t })
+	s.merged = s.merged[:0]
+	if !sorted {
+		s.merged = append(s.merged, s.raw...)
+		sort.SliceStable(s.merged, func(a, b int) bool { return s.merged[a].t < s.merged[b].t })
+		return
+	}
+	for {
+		best := -1
+		for i, k := range s.next {
+			if k < s.ends[i] && (best < 0 || s.raw[k].t < s.raw[s.next[best]].t) {
+				best = i
+			}
+		}
+		if best < 0 {
+			return
+		}
+		s.merged = append(s.merged, s.raw[s.next[best]])
+		s.next[best]++
+	}
+}
+
+// peakWith returns the peak concurrent dynamic demand within
+// [0, windowS) of the committed breakpoints plus one extra segment —
+// the job under consideration — running at dynW watts for durS
+// seconds (padded by padS) from startS. It sweeps the merged list
+// once, placing the extra breakpoints after any committed ones at the
+// same time, so demand is summed in the same order a stable sort of
+// all breakpoints would give and every partial sum rounds the same.
+func (s *horizonScratch) peakWith(startS, durS, dynW, windowS, padS float64) float64 {
+	s.extra = appendBreakpoints(s.extra[:0], startS, durS+padS, dynW, windowS)
+	m, x := s.merged, s.extra
 	var cur, peak float64
-	for i := 0; i < len(deltas); {
-		t := deltas[i].t
-		for i < len(deltas) && deltas[i].t == t {
-			cur += deltas[i].dw
+	for i, j := 0, 0; i < len(m) || j < len(x); {
+		var t float64
+		if j < len(x) && (i == len(m) || x[j].t < m[i].t) {
+			t = x[j].t
+		} else {
+			t = m[i].t
+		}
+		for i < len(m) && m[i].t == t {
+			cur += m[i].dw
 			i++
+		}
+		for j < len(x) && x[j].t == t {
+			cur += x[j].dw
+			j++
 		}
 		if cur > peak {
 			peak = cur

@@ -122,7 +122,10 @@ type Fleet struct {
 	// Timelines is the committed dynamic-power profile of every fleet
 	// instance, indexed like the fleet (Candidate.Index addresses into
 	// it). It is only populated for policies that implement
-	// HorizonAware; nil otherwise.
+	// HorizonAware; nil otherwise. The simulator reuses the slices
+	// across admissions, so they are only valid during the Place call
+	// that receives them: a policy must not keep them or any of their
+	// elements.
 	Timelines [][]PowerSegment
 }
 
