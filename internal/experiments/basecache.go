@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"sort"
 	"sync"
 
 	"repro/internal/activity"
@@ -66,6 +67,27 @@ type baseEntry struct {
 	rowStats *activity.OperandStats
 	colOnce  sync.Once
 	colStats *activity.OperandStats
+
+	// Lazily memoized argsorts of the base bits, shared by every
+	// leading-sort variant (patterns.Pattern.Lead) of the entry: ord is
+	// matrix.Argsort (sorts into rows or columns), rowOrd is
+	// matrix.ArgsortRows (sorts within rows). Valid for every datatype
+	// of the encoding class: FP16 and FP16-T order identical bits
+	// identically.
+	ordOnce    sync.Once
+	ord        []uint32
+	rowOrdOnce sync.Once
+	rowOrd     []uint32
+}
+
+// order returns the argsort a leading sort places from.
+func (e *baseEntry) order(rowWise bool) []uint32 {
+	if rowWise {
+		e.rowOrdOnce.Do(func() { e.rowOrd = matrix.ArgsortRows(e.m) })
+		return e.rowOrd
+	}
+	e.ordOnce.Do(func() { e.ord = matrix.Argsort(e.m) })
+	return e.ord
 }
 
 func (e *baseEntry) row() *activity.OperandStats {
@@ -124,14 +146,47 @@ type baseCache struct {
 	entries map[baseKey]*baseEntry
 	streams map[streamKey]*streamEntry
 	groups  map[streamKey]*groupEntry
+
+	// Refcounts, fixed for the run. uses counts, per encoding class,
+	// the points sharing each base name (aggregated over the class's
+	// datatypes). Raw draw streams are shared across encoding classes:
+	// streamUses counts the classes that generate each base name, and
+	// streamClasses lists them in order, for a deterministic fused
+	// multi-class generation (one pass draws and encodes every class).
+	uses          map[matrix.DType]map[string]int
+	streamUses    map[string]int
+	streamClasses map[string][]matrix.DType
 }
 
-func newBaseCache() *baseCache {
-	return &baseCache{
-		entries: map[baseKey]*baseEntry{},
-		streams: map[streamKey]*streamEntry{},
-		groups:  map[streamKey]*groupEntry{},
+// newBaseCache returns the cache for one run of exp over dtypes.
+func newBaseCache(exp Experiment, dtypes []matrix.DType) *baseCache {
+	c := &baseCache{
+		entries:       map[baseKey]*baseEntry{},
+		streams:       map[streamKey]*streamEntry{},
+		groups:        map[streamKey]*groupEntry{},
+		uses:          map[matrix.DType]map[string]int{},
+		streamUses:    map[string]int{},
+		streamClasses: map[string][]matrix.DType{},
 	}
+	for _, dt := range dtypes {
+		cl := encClass(dt)
+		if c.uses[cl] == nil {
+			c.uses[cl] = map[string]int{}
+		}
+		for _, pt := range exp.Points {
+			c.uses[cl][pt.Pattern(dt).BaseName]++
+		}
+	}
+	for cl, classUses := range c.uses {
+		for name := range classUses {
+			c.streamUses[name]++
+			c.streamClasses[name] = append(c.streamClasses[name], cl)
+		}
+	}
+	for _, classes := range c.streamClasses {
+		sort.Slice(classes, func(i, j int) bool { return classes[i] < classes[j] })
+	}
+	return c
 }
 
 // get returns the cache entry for key, generating its matrix on first
@@ -203,16 +258,6 @@ func (c *baseCache) group(key streamKey, uses int, gen func(g *groupEntry)) *gro
 	return g
 }
 
-// baseUses counts, for one datatype, how many points of the experiment
-// share each base pattern name — the refcount get() needs.
-func baseUses(exp Experiment, dt matrix.DType) map[string]int {
-	uses := make(map[string]int)
-	for _, pt := range exp.Points {
-		uses[pt.Pattern(dt).BaseName]++
-	}
-	return uses
-}
-
 // materialize produces one operand matrix for a job together with its
 // operand statistics in the requested stream orientation (colOrient
 // false: row stream, the profile of operand A or of a transposed-
@@ -225,18 +270,17 @@ func baseUses(exp Experiment, dt matrix.DType) map[string]int {
 // specific stream, shared read-only) when the pattern has no transform
 // stage; otherwise a clone carried through the transform chain, whose
 // statistics are patched incrementally from the base's when the chain
-// enumerates its touched positions.
-func materialize(cache *baseCache, uses map[string]int, streamUses map[string]int,
-	streamClasses map[string][]matrix.DType,
-	pat patterns.Pattern, dt matrix.DType, side string, seed int, streamSeed uint64,
-	size int, colOrient bool) (*matrix.Matrix, *activity.OperandStats) {
+// enumerates its touched positions. A chain that starts with a sort
+// places from the base's memoized argsort instead of sorting again.
+func (cache *baseCache) materialize(pat patterns.Pattern, dt matrix.DType, side string, seed int,
+	streamSeed uint64, size int, colOrient bool) (*matrix.Matrix, *activity.OperandStats) {
 	if pat.BaseFill == nil {
 		m := matrix.New(dt, size, size)
 		pat.Apply(m, rng.Derive(streamSeed, side))
 		return m, nil
 	}
 	e := cache.get(baseKey{class: encClass(dt), side: side, seed: seed, name: pat.BaseName},
-		uses[pat.BaseName], func(e *baseEntry) *matrix.Matrix {
+		cache.uses[encClass(dt)][pat.BaseName], func(e *baseEntry) *matrix.Matrix {
 			src := rng.Derive(streamSeed, side+"/"+pat.BaseName)
 			if pat.DrawStream != nil && pat.EncodeStream != nil {
 				// Affine encodes (the Gaussian patterns) generate every
@@ -244,9 +288,9 @@ func materialize(cache *baseCache, uses map[string]int, streamUses map[string]in
 				// row-chunked pass: the draw row stays cache-hot while
 				// each class encodes it and extracts its row-stream
 				// stats — no raw-stream buffer, one memory pass total.
-				if classes := streamClasses[pat.BaseName]; pat.EncodeAffine != nil && len(classes) > 0 {
+				if classes := cache.streamClasses[pat.BaseName]; pat.EncodeAffine != nil && len(classes) > 0 {
 					g := cache.group(streamKey{side: side, seed: seed, name: pat.BaseName},
-						streamUses[pat.BaseName], func(g *groupEntry) {
+						cache.streamUses[pat.BaseName], func(g *groupEntry) {
 							targets := make([]activity.GaussianTarget, len(classes))
 							for i, cl := range classes {
 								mean, std := pat.EncodeAffine(cl)
@@ -268,7 +312,7 @@ func materialize(cache *baseCache, uses map[string]int, streamUses map[string]in
 				}
 				m := matrix.New(dt, size, size)
 				raw := cache.stream(streamKey{side: side, seed: seed, name: pat.BaseName},
-					streamUses[pat.BaseName], func() []float64 {
+					cache.streamUses[pat.BaseName], func() []float64 {
 						return pat.DrawStream(src, size*size)
 					})
 				// When the base's row-stream stats will plausibly be
@@ -308,6 +352,16 @@ func materialize(cache *baseCache, uses map[string]int, streamUses map[string]in
 	}
 	m := base.Clone()
 	src := rng.Derive(streamSeed, side+"/x/"+pat.Name)
+	if pat.Lead != nil {
+		// A leading sort places from the entry's memoized argsort; the
+		// rest of the chain then runs on the transform stream, as
+		// Transform would after its sort (which draws nothing).
+		pat.Lead.Place(m, e.order(pat.Lead.RowWise()))
+		if pat.Rest != nil {
+			pat.Rest(m, src)
+		}
+		return m, nil
+	}
 	if pat.DeltaTransform == nil {
 		pat.Transform(m, src)
 		return m, nil

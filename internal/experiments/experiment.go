@@ -10,7 +10,6 @@ package experiments
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 
 	"repro/internal/activity"
@@ -172,26 +171,34 @@ func iterationsFor(dt matrix.DType) int {
 	return 10000
 }
 
-// runOne executes a single measurement. Base matrices come from the
-// per-Run cache: the generation streams depend on (experiment, seed,
-// side) but not on the point, so every point's transform variant
-// derives from the same underlying generation; A and B always differ
-// (§III). When the point consumes Bᵀ (the paper's default), the
-// generated matrix is handed to the kernel as transposed storage
-// instead of materializing the transpose — bit-identical results,
-// no transpose pass, and the operand's column-stream statistics are
-// the base's row-stream statistics.
-func runOne(cfg Config, exp Experiment, pt Point, dt matrix.DType, seed int,
-	cache *baseCache, uses map[string]int, streamUses map[string]int,
-	streamClasses map[string][]matrix.DType) (runOutcome, error) {
+// analysis is the device-independent half of one (dtype, point, seed)
+// measurement: the GEMM problem, its switching-activity report, and the
+// seed of its telemetry noise. Every device evaluated at the same size
+// shares it.
+type analysis struct {
+	prob      *kernels.Problem
+	rep       *activity.Report
+	noiseSeed uint64
+}
+
+// analyze runs the device-independent half of a measurement. Base
+// matrices come from the per-run cache: the generation streams depend
+// on (experiment, seed, side) but not on the point, so every point's
+// transform variant derives from the same underlying generation; A and
+// B always differ (§III). When the point consumes Bᵀ (the paper's
+// default), the generated matrix is handed to the kernel as transposed
+// storage instead of materializing the transpose — bit-identical
+// results, no transpose pass, and the operand's column-stream
+// statistics are the base's row-stream statistics.
+func analyze(cfg Config, exp Experiment, pt Point, dt matrix.DType, seed int, cache *baseCache) (analysis, error) {
 	pat := pt.Pattern(dt)
 	base := rng.Derive(uint64(seed)+1, exp.ID)
 	seedA := base.Uint64()
 	seedB := base.Uint64()
 
 	transposeB := pt.transposeB()
-	a, aStats := materialize(cache, uses, streamUses, streamClasses, pat, dt, "A", seed, seedA, cfg.Size, false)
-	g, bStats := materialize(cache, uses, streamUses, streamClasses, pat, dt, "B", seed, seedB, cfg.Size, !transposeB)
+	a, aStats := cache.materialize(pat, dt, "A", seed, seedA, cfg.Size, false)
+	g, bStats := cache.materialize(pat, dt, "B", seed, seedB, cfg.Size, !transposeB)
 
 	var prob *kernels.Problem
 	if transposeB {
@@ -208,23 +215,29 @@ func runOne(cfg Config, exp Experiment, pt Point, dt matrix.DType, seed int,
 		Seed: 0xAC71,
 	}, aStats, bStats)
 	if err != nil {
-		return runOutcome{}, err
+		return analysis{}, err
 	}
-	res, err := power.Evaluate(cfg.Device, prob, rep)
+	// Decorrelate measurement noise across points: the generation seeds
+	// are point-independent, so fold the point label in.
+	return analysis{prob: prob, rep: rep, noiseSeed: rng.Derive(seedA^seedB, pt.Label).Uint64()}, nil
+}
+
+// measure is the per-device half of a measurement: the power model on
+// dev, then the DCGM-style sampled run.
+func measure(dev *device.Device, vmInstance uint64, an analysis) (runOutcome, error) {
+	res, err := power.Evaluate(dev, an.prob, an.rep)
 	if err != nil {
 		return runOutcome{}, err
 	}
 	// Paper iteration counts, raised when the kernel is so fast (small
 	// test sizes) that the run would not span enough 100 ms samples.
-	iters := iterationsFor(dt)
+	iters := iterationsFor(an.prob.DType)
 	if rec := telemetry.RecommendedIterations(res); rec > iters {
 		iters = rec
 	}
 	meas, err := telemetry.Measure(res, iters, telemetry.Config{
-		VMInstance: cfg.VMInstance,
-		// Decorrelate measurement noise across points: the generation
-		// seeds are point-independent, so fold the point label in.
-		Seed: rng.Derive(seedA^seedB, pt.Label).Uint64(),
+		VMInstance: vmInstance,
+		Seed:       an.noiseSeed,
 	})
 	if err != nil {
 		return runOutcome{}, err
@@ -233,8 +246,8 @@ func runOne(cfg Config, exp Experiment, pt Point, dt matrix.DType, seed int,
 		powerW:    meas.AvgPowerW,
 		iterTimeS: meas.IterTimeS,
 		energyJ:   meas.EnergyPerIterJ,
-		alignment: rep.MeanAlignment,
-		hamming:   rep.MeanHammingA,
+		alignment: an.rep.MeanAlignment,
+		hamming:   an.rep.MeanHammingA,
 		busyFrac:  meas.BusyFrac,
 		throttled: meas.Throttled,
 	}, nil
@@ -244,64 +257,56 @@ func runOne(cfg Config, exp Experiment, pt Point, dt matrix.DType, seed int,
 // seeds into cells. Runs are fanned out to Workers goroutines.
 func Run(exp Experiment, cfg Config) (*FigureResult, error) {
 	cfg = cfg.withDefaults()
-	if err := cfg.Device.Validate(); err != nil {
-		return nil, err
+	frs, errs := runDevices(exp, cfg, []*device.Device{cfg.Device})
+	return frs[0], errs[0]
+}
+
+// runDevices runs an experiment once and evaluates every job on each
+// device, returning per device what Run(exp, cfg) with cfg.Device set
+// to that device returns. The inputs and their activity analysis do not
+// depend on the device, so devices measured at one size share them;
+// only the power model and the sampled run are per device.
+func runDevices(exp Experiment, cfg Config, devs []*device.Device) ([]*FigureResult, []error) {
+	cfg = cfg.withDefaults()
+	frs := make([]*FigureResult, len(devs))
+	errs := make([]error, len(devs))
+	live := 0
+	for d, dev := range devs {
+		if errs[d] = dev.Validate(); errs[d] == nil {
+			live++
+		}
+	}
+	if live == 0 {
+		return frs, errs
 	}
 	if len(exp.Points) == 0 {
-		return nil, fmt.Errorf("experiments: %s has no points", exp.ID)
+		for d := range errs {
+			if errs[d] == nil {
+				errs[d] = fmt.Errorf("experiments: %s has no points", exp.ID)
+			}
+		}
+		return frs, errs
 	}
 
-	type job struct{ di, pi, seed int }
-	type result struct {
-		job
-		out runOutcome
-		err error
-	}
-	jobs := make([]job, 0, len(cfg.DTypes)*len(exp.Points)*cfg.Seeds)
+	jobs := make([]runJob, 0, len(cfg.DTypes)*len(exp.Points)*cfg.Seeds)
 	for di := range cfg.DTypes {
 		for pi := range exp.Points {
 			for s := 0; s < cfg.Seeds; s++ {
-				jobs = append(jobs, job{di, pi, s})
+				jobs = append(jobs, runJob{di, pi, s})
 			}
 		}
 	}
 
-	// Per-Run base-matrix cache, so transform variants across points
+	// Per-run base-matrix cache, so transform variants across points
 	// (and datatypes of the same encoding class) share one generation
-	// per (seed, side). Refcounts aggregate over the dtypes of a class.
-	cache := newBaseCache()
-	usesByClass := map[matrix.DType]map[string]int{}
-	for _, dt := range cfg.DTypes {
-		cl := encClass(dt)
-		if usesByClass[cl] == nil {
-			usesByClass[cl] = map[string]int{}
-		}
-		for name, n := range baseUses(exp, dt) {
-			usesByClass[cl][name] += n
-		}
-	}
-	uses := make([]map[string]int, len(cfg.DTypes))
-	for di, dt := range cfg.DTypes {
-		uses[di] = usesByClass[encClass(dt)]
-	}
-	// Raw draw streams are shared across encoding classes: each class
-	// that generates a given base name consumes the stream once. The
-	// class list per base name drives the fused multi-class generation
-	// (one pass draws and encodes every class); classes are ordered for
-	// a deterministic generation layout.
-	streamUses := map[string]int{}
-	streamClasses := map[string][]matrix.DType{}
-	for cl, classUses := range usesByClass {
-		for name := range classUses {
-			streamUses[name]++
-			streamClasses[name] = append(streamClasses[name], cl)
-		}
-	}
-	for _, classes := range streamClasses {
-		sort.Slice(classes, func(i, j int) bool { return classes[i] < classes[j] })
-	}
+	// per (seed, side).
+	cache := newBaseCache(exp, cfg.DTypes)
 
-	results := make([]result, len(jobs))
+	// byDev[d][idx] is job idx's outcome on device d.
+	byDev := make([][]runResult, len(devs))
+	for d := range devs {
+		byDev[d] = make([]runResult, len(jobs))
+	}
 	var wg sync.WaitGroup
 	workers := cfg.Workers
 	if workers > len(jobs) {
@@ -314,8 +319,18 @@ func Run(exp Experiment, cfg Config) (*FigureResult, error) {
 			defer wg.Done()
 			for idx := range jobCh {
 				j := jobs[idx]
-				out, err := runOne(cfg, exp, exp.Points[j.pi], cfg.DTypes[j.di], j.seed, cache, uses[j.di], streamUses, streamClasses)
-				results[idx] = result{job: j, out: out, err: err}
+				an, err := analyze(cfg, exp, exp.Points[j.pi], cfg.DTypes[j.di], j.seed, cache)
+				for d, dev := range devs {
+					r := &byDev[d][idx]
+					r.runJob = j
+					switch {
+					case errs[d] != nil:
+					case err != nil:
+						r.err = err
+					default:
+						r.out, r.err = measure(dev, cfg.VMInstance, an)
+					}
+				}
 			}
 		}()
 	}
@@ -325,6 +340,31 @@ func Run(exp Experiment, cfg Config) (*FigureResult, error) {
 	close(jobCh)
 	wg.Wait()
 
+	for d, dev := range devs {
+		if errs[d] != nil {
+			continue
+		}
+		dcfg := cfg
+		dcfg.Device = dev
+		frs[d], errs[d] = aggregate(exp, dcfg, byDev[d])
+	}
+	return frs, errs
+}
+
+// runJob is one (dtype, point, seed) coordinate of a run.
+type runJob struct{ di, pi, seed int }
+
+// runResult is one job's outcome on one device.
+type runResult struct {
+	runJob
+	out runOutcome
+	err error
+}
+
+// aggregate folds one device's job outcomes, in job order, into
+// per-point cells, averaging over seeds. The first failed job fails the
+// whole figure.
+func aggregate(exp Experiment, cfg Config, results []runResult) (*FigureResult, error) {
 	fr := &FigureResult{Experiment: exp, Config: cfg, Series: map[matrix.DType][]Cell{}}
 	for di, dt := range cfg.DTypes {
 		cells := make([]Cell, len(exp.Points))

@@ -386,25 +386,58 @@ func Fig7Experiments() []Experiment {
 // supplies size/seeds; device and datatype are overridden per the
 // paper: V100, A100, H100 at cfg.Size and the RTX 6000 at 512 (it
 // throttles at 2048²), FP16 only.
+//
+// Devices at the same size share one run of each experiment: the
+// inputs and their activity analysis do not depend on the device, so
+// only the power model and the sampled run are repeated per device.
+// The result equals running each device on its own.
 func RunFig7(cfg Config, devices []DeviceUnderTest) (*Fig7Result, error) {
 	cfg = cfg.withDefaults()
+	exps := Fig7Experiments()
+	// Group devices by size, in first-seen order.
+	var sizes []int
+	bySize := map[int][]int{}
+	for i, dut := range devices {
+		if _, ok := bySize[dut.Size]; !ok {
+			sizes = append(sizes, dut.Size)
+		}
+		bySize[dut.Size] = append(bySize[dut.Size], i)
+	}
+	frs := make([][]*FigureResult, len(devices)) // device → experiment
+	errs := make([][]error, len(devices))
+	for i := range devices {
+		frs[i] = make([]*FigureResult, len(exps))
+		errs[i] = make([]error, len(exps))
+	}
+	for _, size := range sizes {
+		idx := bySize[size]
+		devs := make([]*device.Device, len(idx))
+		for j, i := range idx {
+			devs[j] = devices[i].Device
+		}
+		gcfg := cfg
+		gcfg.Device = devs[0]
+		gcfg.Size = size
+		gcfg.DTypes = []matrix.DType{matrix.FP16}
+		for ei, exp := range exps {
+			gfrs, gerrs := runDevices(exp, gcfg, devs)
+			for j, i := range idx {
+				frs[i][ei], errs[i][ei] = gfrs[j], gerrs[j]
+			}
+		}
+	}
 	out := &Fig7Result{
 		Results: map[string]map[string][]Cell{},
 		Sizes:   map[string]int{},
 	}
-	for _, dut := range devices {
-		dcfg := cfg
-		dcfg.Device = dut.Device
-		dcfg.Size = dut.Size
-		dcfg.DTypes = []matrix.DType{matrix.FP16}
+	for i, dut := range devices {
 		out.Sizes[dut.Device.Name] = dut.Size
 		out.Results[dut.Device.Name] = map[string][]Cell{}
-		for _, exp := range Fig7Experiments() {
-			fr, err := Run(exp, dcfg)
-			if err != nil {
+		for ei, exp := range exps {
+			if err := errs[i][ei]; err != nil {
 				return nil, fmt.Errorf("fig7 %s/%s: %w", dut.Device.Name, exp.ID, err)
 			}
-			out.Results[dut.Device.Name][exp.ID] = fr.Series[matrix.FP16]
+			out.Results[dut.Device.Name][exp.ID] = frs[i][ei].Series[matrix.FP16]
 		}
 	}
 	return out, nil

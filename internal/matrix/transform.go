@@ -3,7 +3,6 @@ package matrix
 import (
 	"math"
 	"math/bits"
-	"slices"
 
 	"repro/internal/bitops"
 	"repro/internal/rng"
@@ -14,9 +13,9 @@ import (
 // mutate the matrix in place; callers clone first if they need the
 // original.
 
-// clampFrac clamps a fraction to [0, 1].
+// clampFrac clamps a fraction to [0, 1]; NaN maps to 0.
 func clampFrac(f float64) float64 {
-	if f < 0 {
+	if !(f > 0) {
 		return 0
 	}
 	if f > 1 {
@@ -34,188 +33,267 @@ func countOf(frac float64, n int) int {
 	return k
 }
 
-// orderKeyFn returns the raw-pattern → sortable-key mapping for a
-// datatype: the unsigned order of the key matches the decoded numeric
-// order, without decoding to float. For the sign-magnitude FP formats
-// the classic flip works at the native width; INT8 just flips the sign
-// bit of the two's-complement pattern. NaN payloads order arbitrarily
-// but deterministically (they sort above +Inf of their sign).
-func orderKeyFn(dt DType) func(uint32) uint32 {
-	switch dt {
-	case FP32:
-		return func(b uint32) uint32 {
-			if b&0x80000000 != 0 {
-				return ^b
-			}
-			return b | 0x80000000
-		}
-	case FP16, FP16T, BF16T:
-		return func(b uint32) uint32 {
-			h := uint16(b)
-			if h&0x8000 != 0 {
-				return uint32(^h)
-			}
-			return uint32(h) | 0x8000
-		}
-	case INT8:
-		return func(b uint32) uint32 { return uint32(uint8(b)) ^ 0x80 }
-	default:
-		panic("matrix: unknown dtype")
-	}
+// sortKey maps a datatype's raw element patterns to unsigned keys whose
+// order is the decoded numeric order, without decoding. For the
+// sign-magnitude FP formats negative values flip every bit of their
+// width and the rest set the sign bit; INT8 just flips the sign bit of
+// the two's-complement pattern. NaN payloads order arbitrarily but
+// deterministically, beyond the infinity of their sign. One branchless
+// form covers every datatype, so the per-element key inlines into the
+// sort loops.
+type sortKey struct {
+	mask  uint32 // the datatype's storage width
+	sign  uint32 // its sign bit
+	neg   uint32 // extra flip for negative values: mask for FP, 0 for INT8
+	shift uint   // width - 1
 }
 
-// sortKeyIdx sorts packed (key<<32 | index) entries by a stable 2-pass
-// 16-bit LSD radix over the key field. The input arrives in index
-// order, and LSD stability makes the result ordered by (key, index) —
-// exactly a full uint64 sort of the packed entries, at O(n) instead of
-// O(n log n) for the multi-million-element full-scale matrices. Small
-// inputs keep the comparison sort (the histogram pass would dominate).
-func sortKeyIdx(keys []uint64) {
-	if len(keys) < 1<<14 {
-		slices.Sort(keys)
+func keyFor(dt DType) sortKey {
+	w := dt.Width()
+	k := sortKey{mask: uint32(uint64(1)<<w - 1), sign: 1 << (w - 1), shift: uint(w - 1)}
+	if dt.IsFloat() {
+		k.neg = k.mask
+	}
+	return k
+}
+
+func (k sortKey) of(b uint32) uint32 {
+	b &= k.mask
+	return b ^ (k.sign | k.neg&-(b>>k.shift))
+}
+
+// radix is a stable LSD radix argsort over 8-bit digits of the sort
+// key: one pass per byte of the datatype's width (INT8 1, the 16-bit
+// formats 2, FP32 4), skipping passes whose digit is the same for every
+// element. The first pass reads the elements and the last writes only
+// indices, so between them entries pack (key<<32 | index): one pass
+// needs no scratch, two need buf, more need tmp too. Entries start in
+// index order, so stability makes the result ordered by (key, index) —
+// a total order, since indices are unique. The scratch is sized on
+// first use and reused for later (equal or shorter) slices.
+type radix struct {
+	key      sortKey
+	passes   int
+	buf, tmp []uint64
+}
+
+func newRadix(dt DType) *radix {
+	return &radix{key: keyFor(dt), passes: dt.Width() / 8}
+}
+
+// scratch returns a buffer of n entries, allocating it on first use.
+func scratch(b *[]uint64, n int) []uint64 {
+	if len(*b) < n {
+		*b = make([]uint64, n)
+	}
+	return (*b)[:n]
+}
+
+// argsort writes the stable ascending order of elems into ord.
+func (r *radix) argsort(elems, ord []uint32) {
+	n := len(elems)
+	if n == 0 {
 		return
 	}
-	tmp := make([]uint64, len(keys))
-	var count [1 << 16]int32
-	for pass := 0; pass < 2; pass++ {
-		shift := uint(32 + 16*pass)
-		clear(count[:])
-		for _, k := range keys {
-			count[(k>>shift)&0xFFFF]++
+	// One counting pass fills the histogram of every digit in use.
+	var hist [4][256]uint32
+	key := r.key
+	switch r.passes {
+	case 1:
+		for _, b := range elems {
+			hist[0][uint8(key.of(b))]++
 		}
-		var sum int32
-		for b := range count {
-			c := count[b]
-			count[b] = sum
+	case 2:
+		for _, b := range elems {
+			k := key.of(b)
+			hist[0][uint8(k)]++
+			hist[1][uint8(k>>8)]++
+		}
+	default:
+		for _, b := range elems {
+			k := key.of(b)
+			hist[0][uint8(k)]++
+			hist[1][uint8(k>>8)]++
+			hist[2][uint8(k>>16)]++
+			hist[3][uint8(k>>24)]++
+		}
+	}
+	// Digits shared by every element leave the order unchanged; the
+	// others become exclusive prefix sums.
+	var shifts [4]uint
+	np := 0
+	k0 := key.of(elems[0])
+	for p := 0; p < r.passes; p++ {
+		shift := 8 * uint(p)
+		h := &hist[p]
+		if h[uint8(k0>>shift)] == uint32(n) {
+			continue
+		}
+		var sum uint32
+		for d, c := range h {
+			h[d] = sum
 			sum += c
 		}
-		for _, k := range keys {
-			b := (k >> shift) & 0xFFFF
-			tmp[count[b]] = k
-			count[b]++
+		shifts[np] = shift
+		np++
+	}
+	if np == 0 {
+		for i := range ord {
+			ord[i] = uint32(i)
 		}
-		keys, tmp = tmp, keys
+		return
 	}
-	// Two passes: the fully sorted data is back in the caller's slice.
-}
-
-// partialSortInto reorders the elements so that the k smallest values,
-// sorted ascending, occupy the positions listed in dst[:k]; the
-// remaining elements fill the remaining positions of dst in their
-// original relative order. dst must be a permutation of all indices.
-//
-// The argsort packs each element's order key and index into one uint64
-// (key high, index low) so a single primitive radix/pdq sort does a
-// stable value sort — the paper's 2048² matrices hold 4.2M elements,
-// and an interface-based sort.SliceStable here dominated whole
-// experiment sweeps. Order keys come straight from the raw bit
-// patterns (orderKeyFn), so no element is decoded.
-func partialSortInto(m *Matrix, frac float64, dst []int) {
-	partialSortIntoScratch(m, frac, dst, &sortScratch{})
-}
-
-// sortScratch holds the working buffers of partialSortIntoScratch so
-// per-row callers (SortWithinRows) can reuse them across many small
-// sorts instead of reallocating three buffers per row.
-type sortScratch struct {
-	keys     []uint64
-	isLowest []bool
-	out      []uint32
-}
-
-func (sc *sortScratch) grow(n int) {
-	if cap(sc.keys) < n {
-		sc.keys = make([]uint64, n)
-		sc.isLowest = make([]bool, n)
-		sc.out = make([]uint32, n)
+	h, shift := &hist[shifts[0]/8], shifts[0]
+	if np == 1 {
+		for i, b := range elems {
+			d := uint8(key.of(b) >> shift)
+			ord[h[d]] = uint32(i)
+			h[d]++
+		}
+		return
 	}
-	sc.keys = sc.keys[:n]
-	sc.isLowest = sc.isLowest[:n]
-	sc.out = sc.out[:n]
-	clear(sc.isLowest)
+	src := scratch(&r.buf, n)
+	for i, b := range elems {
+		k := key.of(b)
+		d := uint8(k >> shift)
+		src[h[d]] = uint64(k)<<32 | uint64(i)
+		h[d]++
+	}
+	var dst []uint64
+	if np > 2 {
+		dst = scratch(&r.tmp, n)
+	}
+	for p := 1; p < np-1; p++ {
+		h, shift := &hist[shifts[p]/8], 32+shifts[p]
+		for _, e := range src {
+			d := uint8(e >> shift)
+			dst[h[d]] = e
+			h[d]++
+		}
+		src, dst = dst, src
+	}
+	h, shift = &hist[shifts[np-1]/8], 32+shifts[np-1]
+	for _, e := range src {
+		d := uint8(e >> shift)
+		ord[h[d]] = uint32(e)
+		h[d]++
+	}
 }
 
-func partialSortIntoScratch(m *Matrix, frac float64, dst []int, sc *sortScratch) {
-	n := len(m.Bits)
-	k := countOf(frac, n)
+// Argsort returns the stable ascending order of m's elements in
+// row-major index space: ord[p] is the index of the p-th smallest
+// value, ties broken by index. The order is the one every placement
+// sort (SortIntoRows, SortIntoCols) uses, so a sweep over sort
+// fractions can compute it once and place from it with PlaceSorted.
+func Argsort(m *Matrix) []uint32 {
+	ord := make([]uint32, len(m.Bits))
+	newRadix(m.DType).argsort(m.Bits, ord)
+	return ord
+}
+
+// ArgsortRows is Argsort applied to every row independently:
+// ord[i*Cols+p] is the column of row i's p-th smallest value. It is the
+// order SortWithinRows places from (see PlaceSortedWithinRows).
+func ArgsortRows(m *Matrix) []uint32 {
+	ord := make([]uint32, len(m.Bits))
+	r := newRadix(m.DType)
+	for i := 0; i < m.Rows; i++ {
+		r.argsort(m.Row(i), ord[i*m.Cols:(i+1)*m.Cols])
+	}
+	return ord
+}
+
+// placeSequence fills out[:len(elems)] with the sorted-placement
+// sequence: the k smallest values in ascending order (ord[:k]), then
+// every other value in its original relative order. An element is
+// among the k smallest exactly when its (key, index) pair is at most
+// the k-th smallest's, so the rest is found by one branchless compare
+// per element. out needs one spare slot past len(elems): the compaction
+// writes every element and advances only past the kept ones.
+func placeSequence(dt DType, elems, ord []uint32, k int, out []uint32) []uint32 {
+	for p, i := range ord[:k] {
+		out[p] = elems[i]
+	}
+	if k == len(elems) {
+		return out[:k]
+	}
+	key := keyFor(dt)
+	last := ord[k-1]
+	thresh := uint64(key.of(elems[last]))<<32 | uint64(last)
+	p := k
+	for i, b := range elems {
+		_, above := bits.Sub64(thresh, uint64(key.of(b))<<32|uint64(i), 0)
+		out[p] = b
+		p += int(above)
+	}
+	return out[:len(elems)]
+}
+
+// PlaceSorted applies a partial placement sort (§IV-C) given m's
+// argsort: the k = round(frac·n) smallest values, ascending, move to
+// the first k positions of the row-major walk (colMajor false, Fig. 5a/
+// 5b) or the column-major walk (true, Fig. 5c); the remaining values
+// fill the remaining positions of the walk in their original relative
+// order. ord must be Argsort of m's current contents.
+func PlaceSorted(m *Matrix, ord []uint32, frac float64, colMajor bool) {
+	k := countOf(frac, len(m.Bits))
 	if k == 0 {
 		return
 	}
-
-	key := orderKeyFn(m.DType)
-	sc.grow(n)
-	keys := sc.keys
-	for i, b := range m.Bits {
-		keys[i] = uint64(key(b))<<32 | uint64(uint32(i))
+	seq := placeSequence(m.DType, m.Bits, ord, k, make([]uint32, len(m.Bits)+1))
+	if !colMajor {
+		copy(m.Bits, seq)
+		return
 	}
-	sortKeyIdx(keys)
-
-	isLowest := sc.isLowest
-	out := sc.out
-	// Place the k smallest (in ascending order, ties by original
-	// position) at dst[:k].
-	for p := 0; p < k; p++ {
-		i := int(uint32(keys[p]))
-		isLowest[i] = true
-		out[dst[p]] = m.Bits[i]
-	}
-	// Remaining values keep original relative order in the remaining
-	// destination slots.
-	p := k
-	for i := 0; i < n; i++ {
-		if isLowest[i] {
-			continue
-		}
-		out[dst[p]] = m.Bits[i]
-		p++
-	}
-	copy(m.Bits, out)
-}
-
-// rowMajorOrder returns row-major position indices.
-func rowMajorOrder(rows, cols int) []int {
-	out := make([]int, rows*cols)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
-// colMajorOrder returns indices that walk the matrix column-major.
-func colMajorOrder(rows, cols int) []int {
-	out := make([]int, 0, rows*cols)
-	for j := 0; j < cols; j++ {
-		for i := 0; i < rows; i++ {
-			out = append(out, i*cols+j)
+	p := 0
+	for j := 0; j < m.Cols; j++ {
+		for i := 0; i < m.Rows; i++ {
+			m.Bits[i*m.Cols+j] = seq[p]
+			p++
 		}
 	}
-	return out
+}
+
+// PlaceSortedWithinRows is PlaceSorted within every row (Fig. 5d):
+// each row's round(frac·Cols) smallest values, ascending, move to the
+// row's first positions and the rest keep their order. ord must be
+// ArgsortRows of m's current contents.
+func PlaceSortedWithinRows(m *Matrix, ord []uint32, frac float64) {
+	k := countOf(frac, m.Cols)
+	if k == 0 {
+		return
+	}
+	out := make([]uint32, m.Cols+1)
+	for i := 0; i < m.Rows; i++ {
+		row := m.Row(i)
+		copy(row, placeSequence(m.DType, row, ord[i*m.Cols:(i+1)*m.Cols], k, out))
+	}
 }
 
 // SortIntoRows partially sorts the matrix row-wise (§IV-C, Fig. 5a/5b):
 // the lowest frac of values are sorted into the first frac of row-major
 // indices.
 func SortIntoRows(m *Matrix, frac float64) {
-	partialSortInto(m, frac, rowMajorOrder(m.Rows, m.Cols))
+	if countOf(frac, len(m.Bits)) > 0 {
+		PlaceSorted(m, Argsort(m), frac, false)
+	}
 }
 
 // SortIntoCols partially sorts the matrix column-wise (§IV-C, Fig. 5c):
 // the lowest frac of values are sorted into the first frac of
 // column-major indices.
 func SortIntoCols(m *Matrix, frac float64) {
-	partialSortInto(m, frac, colMajorOrder(m.Rows, m.Cols))
+	if countOf(frac, len(m.Bits)) > 0 {
+		PlaceSorted(m, Argsort(m), frac, true)
+	}
 }
 
 // SortWithinRows partially sorts each row independently (§IV-C,
 // Fig. 5d): within every row, the lowest frac of that row's values are
 // sorted into the row's first indices.
 func SortWithinRows(m *Matrix, frac float64) {
-	dst := rowMajorOrder(1, m.Cols)
-	var sc sortScratch
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		sub := &Matrix{DType: m.DType, Rows: 1, Cols: m.Cols, Bits: row}
-		partialSortIntoScratch(sub, frac, dst, &sc)
+	if countOf(frac, m.Cols) > 0 {
+		PlaceSortedWithinRows(m, ArgsortRows(m), frac)
 	}
 }
 

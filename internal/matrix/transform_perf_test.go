@@ -121,3 +121,28 @@ func TestSparsifyExactCount(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkSort times each placement sort at 256² per datatype: one
+// argsort plus one placement of half the values, from the same
+// Gaussian input every iteration.
+func BenchmarkSort(b *testing.B) {
+	kinds := []struct {
+		name string
+		sort func(*Matrix, float64)
+	}{{"rows", SortIntoRows}, {"cols", SortIntoCols}, {"withinrows", SortWithinRows}}
+	for _, k := range kinds {
+		for _, dt := range ExtendedDTypes {
+			b.Run(k.name+"/"+dt.String(), func(b *testing.B) {
+				base := New(dt, 256, 256)
+				FillGaussian(base, rng.New(1), 0, DefaultStd(dt))
+				m := New(dt, 256, 256)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					copy(m.Bits, base.Bits)
+					k.sort(m, 0.5)
+				}
+			})
+		}
+	}
+}

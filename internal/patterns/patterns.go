@@ -66,6 +66,16 @@ type Pattern struct {
 	// EncodeVerbatim declares that EncodeStream encodes raw values
 	// as-is (matrix.EncodeValues) with no value map.
 	EncodeVerbatim bool
+
+	// Lead, when non-nil, records that the transform chain starts with
+	// a placement sort: Transform is Lead's sort followed by Rest (nil
+	// when the sort is the whole chain), on the same stream. A runner
+	// that holds the base's argsort places from it (SortSpec.Place) and
+	// runs Rest, instead of sorting every variant anew. Transform and
+	// Fill stay the reference.
+	Lead *SortSpec
+	// Rest is the transform chain after Lead's sort.
+	Rest func(m *matrix.Matrix, src *rng.Source)
 }
 
 // Apply fills the matrix.
@@ -76,31 +86,38 @@ func generator(name string, fill func(m *matrix.Matrix, src *rng.Source)) Patter
 	return Pattern{Name: name, Fill: fill, BaseName: name, BaseFill: fill}
 }
 
+// chain runs f after prev, or is f alone when prev is nil.
+func chain(prev, f func(m *matrix.Matrix, src *rng.Source)) func(m *matrix.Matrix, src *rng.Source) {
+	if prev == nil {
+		return f
+	}
+	return func(m *matrix.Matrix, src *rng.Source) {
+		prev(m, src)
+		f(m, src)
+	}
+}
+
 // Then composes a transform after this pattern's fill. The step is
 // untrackable: the result has no DeltaTransform. Trackable steps go
-// through thenTracked instead.
+// through thenTracked instead. A leading sort carries forward, with f
+// appended to its Rest.
 func (p Pattern) Then(name string, f func(m *matrix.Matrix, src *rng.Source)) Pattern {
-	prevFill := p.Fill
-	xform := f
-	if prev := p.Transform; prev != nil {
-		xform = func(m *matrix.Matrix, src *rng.Source) {
-			prev(m, src)
-			f(m, src)
-		}
+	var rest func(m *matrix.Matrix, src *rng.Source)
+	if p.Lead != nil {
+		rest = chain(p.Rest, f)
 	}
 	return Pattern{
-		Name: p.Name + "|" + name,
-		Fill: func(m *matrix.Matrix, src *rng.Source) {
-			prevFill(m, src)
-			f(m, src)
-		},
+		Name:           p.Name + "|" + name,
+		Fill:           chain(p.Fill, f),
 		BaseName:       p.BaseName,
 		BaseFill:       p.BaseFill,
-		Transform:      xform,
+		Transform:      chain(p.Transform, f),
 		DrawStream:     p.DrawStream,
 		EncodeStream:   p.EncodeStream,
 		EncodeAffine:   p.EncodeAffine,
 		EncodeVerbatim: p.EncodeVerbatim,
+		Lead:           p.Lead,
+		Rest:           rest,
 	}
 }
 
@@ -242,21 +259,57 @@ const (
 	SortWithinRows SortKind = "withinrows"
 )
 
-// Sorted applies a partial sort (Fig. 5) after the base pattern.
+// SortSpec is one §IV-C placement sort: which kind, and the fraction
+// of values sorted.
+type SortSpec struct {
+	Kind SortKind
+	Frac float64
+}
+
+// Apply sorts m in place.
+func (s SortSpec) Apply(m *matrix.Matrix) {
+	switch s.Kind {
+	case SortRows:
+		matrix.SortIntoRows(m, s.Frac)
+	case SortCols:
+		matrix.SortIntoCols(m, s.Frac)
+	case SortWithinRows:
+		matrix.SortWithinRows(m, s.Frac)
+	default:
+		panic(fmt.Sprintf("patterns: unknown sort kind %q", s.Kind))
+	}
+}
+
+// RowWise reports whether the sort places from each row's own order
+// (matrix.ArgsortRows) rather than the whole matrix's (matrix.Argsort).
+func (s SortSpec) RowWise() bool { return s.Kind == SortWithinRows }
+
+// Place is Apply given m's argsort: matrix.ArgsortRows of m when
+// RowWise, matrix.Argsort of m otherwise. Runners sorting many
+// variants of one base compute that order once.
+func (s SortSpec) Place(m *matrix.Matrix, ord []uint32) {
+	switch s.Kind {
+	case SortRows:
+		matrix.PlaceSorted(m, ord, s.Frac, false)
+	case SortCols:
+		matrix.PlaceSorted(m, ord, s.Frac, true)
+	case SortWithinRows:
+		matrix.PlaceSortedWithinRows(m, ord, s.Frac)
+	default:
+		panic(fmt.Sprintf("patterns: unknown sort kind %q", s.Kind))
+	}
+}
+
+// Sorted applies a partial sort (Fig. 5) after the base pattern. When
+// it is the first transform, the result records it as its Lead.
 func (p Pattern) Sorted(kind SortKind, frac float64) Pattern {
-	return p.Then(fmt.Sprintf("sort(%s,%g%%)", kind, frac*100),
-		func(m *matrix.Matrix, _ *rng.Source) {
-			switch kind {
-			case SortRows:
-				matrix.SortIntoRows(m, frac)
-			case SortCols:
-				matrix.SortIntoCols(m, frac)
-			case SortWithinRows:
-				matrix.SortWithinRows(m, frac)
-			default:
-				panic(fmt.Sprintf("patterns: unknown sort kind %q", kind))
-			}
-		})
+	spec := SortSpec{Kind: kind, Frac: frac}
+	np := p.Then(fmt.Sprintf("sort(%s,%g%%)", kind, frac*100),
+		func(m *matrix.Matrix, _ *rng.Source) { spec.Apply(m) })
+	if p.Transform == nil {
+		np.Lead = &spec
+	}
+	return np
 }
 
 // Sparse zeroes a random fraction of elements (Fig. 6a/6b).

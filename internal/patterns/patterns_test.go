@@ -1,6 +1,7 @@
 package patterns
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -214,10 +215,19 @@ func TestDSLErrors(t *testing.T) {
 		"gaussian(default) | sort(rows, 200%)",
 		"(5)",
 		"gaussian(default) | sparsify(=)",
+		// Non-finite numbers pass every comparison-based range check.
+		"gaussian(0,1) | sort(rows, nan)",
+		"gaussian(default) | sparsify(NaN%)",
+		"constant(random) | flip(nan)",
+		"gaussian(mean=inf)",
+		"constant(-Infinity)",
+		"set(n=2000000)", // the set is allocated in full
 	}
 	for _, input := range cases {
-		if _, err := Parse(input); err == nil {
-			t.Errorf("Parse(%q): expected error", input)
+		_, err := Parse(input)
+		var pe *ParseError
+		if !errors.As(err, &pe) {
+			t.Errorf("Parse(%q): error %v, want a *ParseError", input, err)
 		}
 	}
 }

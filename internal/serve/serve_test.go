@@ -418,6 +418,40 @@ func TestHTTPEndpoints(t *testing.T) {
 	}
 }
 
+// TestPredictNonFiniteArgumentsAre400 sends pattern arguments that
+// once reached the transforms as NaN and panicked a pool worker, which
+// took the whole process down. Each must be a 400, and the core must go
+// on serving.
+func TestPredictNonFiniteArgumentsAre400(t *testing.T) {
+	s := New(testConfig())
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	post := func(pattern string) int {
+		t.Helper()
+		buf, _ := json.Marshal(PredictRequest{Pattern: pattern, Size: 32})
+		resp, err := http.Post(ts.URL+"/predict", "application/json", bytes.NewReader(buf))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, pat := range []string{
+		"gaussian(0,1)|sort(rows,nan)",
+		"gaussian(0,1)|sparsify(nan)",
+		"gaussian(0,1)|flip(nan)",
+		"gaussian(mean=inf)",
+	} {
+		if code := post(pat); code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", pat, code)
+		}
+	}
+	if code := post("gaussian(0,1)|sort(rows,50%)"); code != http.StatusOK {
+		t.Errorf("valid request after the rejected ones: status %d, want 200", code)
+	}
+}
+
 func TestMetricsEndpoint(t *testing.T) {
 	s := New(testConfig())
 	defer s.Close()
