@@ -41,15 +41,14 @@ var (
 	cpuSuffix = regexp.MustCompile(`-\d+$`)
 )
 
-// defaultFilter gates the figure benchmarks plus the engine
-// microbenchmarks behind them: the per-dtype GEMM kernel runs
-// (BenchmarkGEMM/<dtype>) and full activity analyses
-// (BenchmarkActivity/<dtype>). A kernel or analyzer regression then
-// fails the gate directly, with a per-dtype culprit, instead of only
-// surfacing as a diluted slowdown of whichever figures exercise it.
+// defaultFilter gates the figure benchmarks plus the analyzer
+// microbenchmarks behind them: full activity analyses
+// (BenchmarkActivity/<dtype>). An analyzer regression then fails the
+// gate directly, with a per-dtype culprit, instead of only surfacing as
+// a diluted slowdown of whichever figures exercise it.
 // BenchmarkPredictiveHorizonDeep is the one fleet replay whose queues
 // are deep enough to expose a placement cost that grows with them.
-const defaultFilter = `^Benchmark(Fig|GEMM/|Activity/|PredictiveHorizonDeep$)`
+const defaultFilter = `^Benchmark(Fig|Activity/|PredictiveHorizonDeep$)`
 
 type testEvent struct {
 	Action string `json:"Action"`

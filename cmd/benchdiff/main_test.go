@@ -120,15 +120,11 @@ func TestGateThresholdBoundary(t *testing.T) {
 
 func TestDefaultFilterCoverage(t *testing.T) {
 	// The default gate covers the figure benchmarks and the per-dtype
-	// engine microbenchmarks, but not unrelated or aggregate names —
-	// BenchmarkGEMM without a sub-benchmark would double-gate the same
-	// kernels its /<dtype> children already cover.
+	// activity microbenchmarks, but not unrelated or aggregate names.
 	re := regexp.MustCompile(defaultFilter)
 	gated := []string{
 		"BenchmarkFig1Runtime",
 		"BenchmarkFig6aSparsity",
-		"BenchmarkGEMM/FP16-T",
-		"BenchmarkGEMM/INT8",
 		"BenchmarkActivity/FP32",
 		"BenchmarkActivity/BF16-T",
 		"BenchmarkPredictiveHorizonDeep",
@@ -151,10 +147,10 @@ func TestDefaultFilterCoverage(t *testing.T) {
 		}
 	}
 
-	// End to end through run(): a regression in a /<dtype> engine
+	// End to end through run(): a regression in a /<dtype> activity
 	// microbenchmark fails the default gate.
-	old := writeFile(t, "old.json", event("BenchmarkGEMM/FP16", 100))
-	slow := writeFile(t, "slow.json", event("BenchmarkGEMM/FP16", 200))
+	old := writeFile(t, "old.json", event("BenchmarkActivity/FP16", 100))
+	slow := writeFile(t, "slow.json", event("BenchmarkActivity/FP16", 200))
 	var stdout, stderr bytes.Buffer
 	if got := run([]string{old, slow}, &stdout, &stderr); got != 1 {
 		t.Fatalf("exit = %d, want 1\nstdout: %s", got, stdout.String())

@@ -13,13 +13,11 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/activity"
+	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/kernels"
 	"repro/internal/matrix"
 	"repro/internal/patterns"
-	"repro/internal/power"
-	"repro/internal/rng"
 	"repro/internal/telemetry"
 )
 
@@ -48,17 +46,8 @@ func main() {
 		fatalf("%v", err)
 	}
 
-	a := matrix.New(dt, *size, *size)
-	b := matrix.New(dt, *size, *size)
-	pat.Apply(a, rng.Derive(*seed, "A"))
-	pat.Apply(b, rng.Derive(*seed, "B"))
-	prob := kernels.NewTransposedProblem(dt, a, b)
-
-	rep, err := activity.Analyze(prob, activity.Config{Seed: 0xAC71})
-	if err != nil {
-		fatalf("%v", err)
-	}
-	res, err := power.Evaluate(dev, prob, rep)
+	a, b := core.Operands(dt, *size, pat, *seed, *seed)
+	_, res, err := core.Evaluate(dev, kernels.NewTransposedProblem(dt, a, b), 0)
 	if err != nil {
 		fatalf("%v", err)
 	}

@@ -47,8 +47,9 @@
 //
 // The simulation hot path is organized around precomputation and
 // locality, with bit-identical results to the straightforward
-// per-element formulation (golden equivalence tests in
-// internal/kernels prove it element-by-element):
+// per-element formulation (the activity walk is cross-checked against
+// a scalar GEMM oracle, and goldens pin the figures, the /predict
+// bodies and every core.Measurement field):
 //
 //   - internal/softfloat carries 65,536-entry lookup tables built at
 //     init from the bit-exact conversions: F16→F32 decode (F16ToF32 is
@@ -56,13 +57,10 @@
 //     FP16/BF16/INT8. F32ToF16 and F32ToI8 use branch-light exact-RNE
 //     magic-number formulations, verified exhaustively against their
 //     field-by-field references.
-//   - internal/kernels packs both GEMM operands once per problem into
-//     contiguous decoded panels — A row-major, B column-major — so the
-//     O(N³) inner loop is a register-resident dot product in the exact
-//     arithmetic of the datatype. Work is scheduled as cache-blocked
-//     row ranges through an atomic cursor shared by the datatype
-//     engine and the float64 reference oracle, and the α/β epilogue is
-//     fused into the accumulator retirement.
+//   - internal/kernels describes the GEMM (shape, operand layout,
+//     threadblock tile, wave schedule) without executing it; the exact
+//     per-datatype arithmetic runs only for the sampled output lanes
+//     the activity walk measures.
 //   - internal/activity computes all exact terms in one fused scan per
 //     operand (toggles, per-k significand sums via the LUTs, Hamming
 //     weight, non-zero counts) and walks sampled product/accumulator

@@ -40,21 +40,27 @@ import (
 	"repro/internal/softfloat"
 )
 
-// Config controls activity extraction.
+// Config controls activity extraction. The stream reuse factors come
+// from the problem's own tile (kernels.Problem.Tile), the same tiling
+// the power model schedules.
 type Config struct {
-	// Tile is the threadblock tiling, which sets the stream reuse
-	// factors. Zero value means the dtype default.
-	Tile kernels.TileConfig
 	// SampleOutputs is the number of distinct output positions whose
 	// product and accumulator trajectories are walked exactly. Zero
 	// means the default of 512. Positions are drawn without replacement
 	// (a partial Fisher–Yates over the output index space) and are
 	// deterministic given Seed.
 	SampleOutputs int
-	// Seed drives sample-position selection. Experiments share a fixed
-	// seed so that configurations differ only in their inputs.
+	// Seed drives sample-position selection. Every measurement path
+	// uses SampleSeed so that configurations differ only in their
+	// inputs.
 	Seed uint64
 }
+
+// SampleSeed is the sampling seed every measurement path passes as
+// Config.Seed: the figures, the serving and training simulations, the
+// core Simulator and the DCGM emulator all walk the same output
+// positions for a given shape.
+const SampleSeed = 0xAC71
 
 // DefaultSampleOutputs is the default number of sampled accumulator
 // trajectories.
@@ -126,9 +132,6 @@ func AnalyzeWithStats(p *kernels.Problem, cfg Config, stA, stB *OperandStats) (*
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Tile == (kernels.TileConfig{}) {
-		cfg.Tile = p.Tile
-	}
 	if cfg.SampleOutputs <= 0 {
 		cfg.SampleOutputs = DefaultSampleOutputs
 	}
@@ -187,8 +190,8 @@ func AnalyzeWithStats(p *kernels.Problem, cfg Config, stA, stB *OperandStats) (*
 
 	// Stream toggles: each A tile row panel is re-streamed once per
 	// column block of the output, each B panel once per row block.
-	reuseA := int64(ceilDiv(m, cfg.Tile.BlockN))
-	reuseB := int64(ceilDiv(n, cfg.Tile.BlockM))
+	reuseA := int64(ceilDiv(m, p.Tile.BlockN))
+	reuseB := int64(ceilDiv(n, p.Tile.BlockM))
 	r.StreamToggles = reuseA*aRowToggles + reuseB*bColToggles
 
 	sampleWalk(p, cfg, r)
@@ -390,13 +393,9 @@ func samplePositions(n, m, samples int, seed uint64) [][2]int {
 // trajectories on a deterministic sample of distinct output positions,
 // walking the exact per-dtype arithmetic along k, and scales the totals
 // to the full output. It also accumulates the mean operand bit
-// alignment over the sampled multiplied pairs.
-//
-// Samples are grouped by output column so each B column is gathered
-// into a contiguous buffer once and walked for every sampled row in
-// that column; the buffer is reused across groups within a worker. The
-// final reduction runs over per-sample slots in a fixed order, so the
-// result is deterministic regardless of worker scheduling.
+// alignment over the sampled multiplied pairs. The reduction runs over
+// per-sample slots in a fixed order, so the result is deterministic
+// regardless of worker scheduling.
 func sampleWalk(p *kernels.Problem, cfg Config, r *Report) {
 	n, k, m := p.Dims()
 	total := n * m
@@ -405,6 +404,30 @@ func sampleWalk(p *kernels.Problem, cfg Config, r *Report) {
 		samples = total
 	}
 	positions := samplePositions(n, m, samples, cfg.Seed)
+	results := walkPositions(p, positions)
+
+	var prodTog, accTog int64
+	var alignSum float64
+	for _, res := range results {
+		prodTog += res.prodTog
+		accTog += res.accTog
+		alignSum += res.alignSum
+	}
+	if len(positions) > 0 {
+		scale := float64(total) / float64(len(positions))
+		r.ProductToggles = float64(prodTog) * scale
+		r.AccumToggles = float64(accTog) * scale
+		r.MeanAlignment = alignSum / float64(int64(len(positions))*int64(k))
+	}
+}
+
+// walkPositions walks the output lane at each position and returns the
+// lane results in position order. Samples are grouped by output column
+// so each B column is gathered into a contiguous buffer once and walked
+// for every sampled row in that column; the buffer is reused across
+// groups within a worker.
+func walkPositions(p *kernels.Problem, positions [][2]int) []laneResult {
+	_, k, m := p.Dims()
 
 	// Order sample indices by output column so consecutive samples share
 	// (or neighbor) their B columns, then walk them two at a time:
@@ -491,26 +514,17 @@ func sampleWalk(p *kernels.Problem, cfg Config, r *Report) {
 		}
 		wg.Wait()
 	}
-
-	var prodTog, accTog int64
-	var alignSum float64
-	for _, res := range results {
-		prodTog += res.prodTog
-		accTog += res.accTog
-		alignSum += res.alignSum
-	}
-	if len(positions) > 0 {
-		scale := float64(total) / float64(len(positions))
-		r.ProductToggles = float64(prodTog) * scale
-		r.AccumToggles = float64(accTog) * scale
-		r.MeanAlignment = alignSum / float64(int64(len(positions))*int64(k))
-	}
+	return results
 }
 
 // laneResult is one sampled output lane's walk outcome.
 type laneResult struct {
 	prodTog, accTog int64
 	alignSum        float64
+	// acc is the accumulator register's final bits: the lane's output
+	// before the epilogue (float32 bits, binary16 bits in the low half
+	// for FP16, the int32 two's complement for INT8).
+	acc uint32
 }
 
 // laneAlign converts a lane's accumulated misalignment popcount into the
@@ -527,6 +541,7 @@ func laneAlign(k, width int, pc int64) float64 {
 func walkLane(dt matrix.DType, aRow, bCol []uint32, width int) laneResult {
 	k := len(aRow)
 	var prodTog, accTog, alignPC int64
+	var accBits uint32
 	amask := bitops.LowMask(width)
 	switch dt {
 	case matrix.FP32:
@@ -545,6 +560,7 @@ func walkLane(dt matrix.DType, aRow, bCol []uint32, width int) laneResult {
 			prevAcc = ab
 			alignPC += int64(bitops.Popcount32((aRow[kk] ^ bCol[kk]) & amask))
 		}
+		accBits = prevAcc
 	case matrix.FP16:
 		var acc uint16
 		var prevProd, prevAcc uint16
@@ -557,6 +573,7 @@ func walkLane(dt matrix.DType, aRow, bCol []uint32, width int) laneResult {
 			prevAcc = acc
 			alignPC += int64(bitops.Popcount32((aRow[kk] ^ bCol[kk]) & amask))
 		}
+		accBits = uint32(prevAcc)
 	case matrix.FP16T:
 		var acc float32
 		var prevProd, prevAcc uint32
@@ -571,6 +588,7 @@ func walkLane(dt matrix.DType, aRow, bCol []uint32, width int) laneResult {
 			prevAcc = ab
 			alignPC += int64(bitops.Popcount32((aRow[kk] ^ bCol[kk]) & amask))
 		}
+		accBits = prevAcc
 	case matrix.BF16T:
 		var acc float32
 		var prevProd, prevAcc uint32
@@ -585,6 +603,7 @@ func walkLane(dt matrix.DType, aRow, bCol []uint32, width int) laneResult {
 			prevAcc = ab
 			alignPC += int64(bitops.Popcount32((aRow[kk] ^ bCol[kk]) & amask))
 		}
+		accBits = prevAcc
 	case matrix.INT8:
 		var acc int32
 		var prevProd, prevAcc uint32
@@ -599,10 +618,11 @@ func walkLane(dt matrix.DType, aRow, bCol []uint32, width int) laneResult {
 			prevAcc = ab
 			alignPC += int64(bitops.Popcount32((aRow[kk] ^ bCol[kk]) & amask))
 		}
+		accBits = prevAcc
 	default:
 		panic("activity: unknown dtype")
 	}
-	return laneResult{prodTog: prodTog, accTog: accTog, alignSum: laneAlign(k, width, alignPC)}
+	return laneResult{prodTog: prodTog, accTog: accTog, alignSum: laneAlign(k, width, alignPC), acc: accBits}
 }
 
 // walkLane2 walks two output lanes in one interleaved pass. Each
@@ -615,6 +635,7 @@ func walkLane2(dt matrix.DType, aRow0, bCol0, aRow1, bCol1 []uint32, width int) 
 	k := len(bCol0)
 	var prodTog0, accTog0, alignPC0 int64
 	var prodTog1, accTog1, alignPC1 int64
+	var accBits0, accBits1 uint32
 	amask := bitops.LowMask(width)
 	switch dt {
 	case matrix.FP32:
@@ -638,6 +659,7 @@ func walkLane2(dt matrix.DType, aRow0, bCol0, aRow1, bCol1 []uint32, width int) 
 			alignPC0 += int64(bitops.Popcount32((a0 ^ bb0) & amask))
 			alignPC1 += int64(bitops.Popcount32((a1 ^ bb1) & amask))
 		}
+		accBits0, accBits1 = prevAcc0, prevAcc1
 	case matrix.FP16:
 		var acc0, acc1 uint16
 		var prevProd0, prevAcc0, prevProd1, prevAcc1 uint16
@@ -657,6 +679,7 @@ func walkLane2(dt matrix.DType, aRow0, bCol0, aRow1, bCol1 []uint32, width int) 
 			alignPC0 += int64(bitops.Popcount32((a0 ^ bb0) & amask))
 			alignPC1 += int64(bitops.Popcount32((a1 ^ bb1) & amask))
 		}
+		accBits0, accBits1 = uint32(prevAcc0), uint32(prevAcc1)
 	case matrix.FP16T:
 		var acc0, acc1 float32
 		var prevProd0, prevAcc0, prevProd1, prevAcc1 uint32
@@ -678,6 +701,7 @@ func walkLane2(dt matrix.DType, aRow0, bCol0, aRow1, bCol1 []uint32, width int) 
 			alignPC0 += int64(bitops.Popcount32((a0 ^ bb0) & amask))
 			alignPC1 += int64(bitops.Popcount32((a1 ^ bb1) & amask))
 		}
+		accBits0, accBits1 = prevAcc0, prevAcc1
 	case matrix.BF16T:
 		var acc0, acc1 float32
 		var prevProd0, prevAcc0, prevProd1, prevAcc1 uint32
@@ -699,6 +723,7 @@ func walkLane2(dt matrix.DType, aRow0, bCol0, aRow1, bCol1 []uint32, width int) 
 			alignPC0 += int64(bitops.Popcount32((a0 ^ bb0) & amask))
 			alignPC1 += int64(bitops.Popcount32((a1 ^ bb1) & amask))
 		}
+		accBits0, accBits1 = prevAcc0, prevAcc1
 	case matrix.INT8:
 		var acc0, acc1 int32
 		var prevProd0, prevAcc0, prevProd1, prevAcc1 uint32
@@ -720,9 +745,10 @@ func walkLane2(dt matrix.DType, aRow0, bCol0, aRow1, bCol1 []uint32, width int) 
 			alignPC0 += int64(bitops.Popcount32((a0 ^ bb0) & amask))
 			alignPC1 += int64(bitops.Popcount32((a1 ^ bb1) & amask))
 		}
+		accBits0, accBits1 = prevAcc0, prevAcc1
 	default:
 		panic("activity: unknown dtype")
 	}
-	return laneResult{prodTog: prodTog0, accTog: accTog0, alignSum: laneAlign(k, width, alignPC0)},
-		laneResult{prodTog: prodTog1, accTog: accTog1, alignSum: laneAlign(k, width, alignPC1)}
+	return laneResult{prodTog: prodTog0, accTog: accTog0, alignSum: laneAlign(k, width, alignPC0), acc: accBits0},
+		laneResult{prodTog: prodTog1, accTog: accTog1, alignSum: laneAlign(k, width, alignPC1), acc: accBits1}
 }

@@ -289,13 +289,14 @@ func TestMeanAlignmentOppositeOperands(t *testing.T) {
 
 func TestStreamTogglesScaleWithReuse(t *testing.T) {
 	p := gaussianProblem(matrix.FP32, 16, 16, 16, 23)
-	small := Config{Tile: kernels.TileConfig{BlockM: 4, BlockN: 4, BlockK: 4}, SampleOutputs: 1}
-	large := Config{Tile: kernels.TileConfig{BlockM: 16, BlockN: 16, BlockK: 4}, SampleOutputs: 1}
-	rs, err := Analyze(p, small)
+	cfg := Config{SampleOutputs: 1}
+	p.Tile = kernels.TileConfig{BlockM: 4, BlockN: 4, BlockK: 4}
+	rs, err := Analyze(p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rl, err := Analyze(p, large)
+	p.Tile = kernels.TileConfig{BlockM: 16, BlockN: 16, BlockK: 4}
+	rl, err := Analyze(p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

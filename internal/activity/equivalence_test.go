@@ -209,7 +209,7 @@ func TestGenerateGaussianFusedEquivalence(t *testing.T) {
 // both B storage orientations.
 func TestAnalyzeWithStatsEquivalence(t *testing.T) {
 	const n = 48
-	cfg := Config{SampleOutputs: 32, Seed: 0xAC71}
+	cfg := Config{SampleOutputs: 32, Seed: SampleSeed}
 	for _, dt := range matrix.ExtendedDTypes {
 		a := matrix.New(dt, n, n)
 		g := matrix.New(dt, n, n)

@@ -15,7 +15,7 @@ func TestSamplePositionsDistinct(t *testing.T) {
 		{2048, 2048, 512}, {5, 7, 34},
 	}
 	for _, tc := range cases {
-		pos := samplePositions(tc.n, tc.m, tc.samples, 0xAC71)
+		pos := samplePositions(tc.n, tc.m, tc.samples, SampleSeed)
 		if len(pos) != tc.samples {
 			t.Fatalf("(%d,%d,%d): got %d positions", tc.n, tc.m, tc.samples, len(pos))
 		}

@@ -67,7 +67,11 @@ type Measurement struct {
 	EnergyPerIterJ float64
 	BusyFrac       float64
 	Throttled      bool
-	SteadyTempC    float64
+	// MemBound reports that the roofline memory floor, not the MAC
+	// rate, set the kernel time. It depends only on the GEMM shape, the
+	// tile and the device.
+	MemBound    bool
+	SteadyTempC float64
 
 	// Activity is the underlying switching-activity report.
 	Activity *activity.Report
@@ -96,6 +100,36 @@ func NewSimulator(dev *device.Device) (*Simulator, error) {
 // Device returns the simulated device.
 func (s *Simulator) Device() *device.Device { return s.dev }
 
+// Operands fills size×size A and B with the pattern, A from the
+// stream rng.Derive(seedA, "A") and B from rng.Derive(seedB, "B"), so
+// the two operands are always distinct draws (§III). Every measurement
+// path generates its operands here; each caller keeps its own rule for
+// deriving the two seeds.
+func Operands(dt matrix.DType, size int, pat patterns.Pattern, seedA, seedB uint64) (a, b *matrix.Matrix) {
+	a = matrix.New(dt, size, size)
+	pat.Apply(a, rng.Derive(seedA, "A"))
+	b = matrix.New(dt, size, size)
+	pat.Apply(b, rng.Derive(seedB, "B"))
+	return a, b
+}
+
+// Evaluate is the physics chain every measurement runs on a problem:
+// the switching-activity analysis (sampling sampleOutputs positions at
+// activity.SampleSeed, 0 = the default count), then the power model on
+// dev. The problem's tile sets both the stream reuse factors and the
+// wave schedule.
+func Evaluate(dev *device.Device, prob *kernels.Problem, sampleOutputs int) (*activity.Report, *power.Result, error) {
+	rep, err := activity.Analyze(prob, activity.Config{SampleOutputs: sampleOutputs, Seed: activity.SampleSeed})
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := power.Evaluate(dev, prob, rep)
+	if err != nil {
+		return nil, nil, err
+	}
+	return rep, res, nil
+}
+
 // MeasureGEMM measures one GEMM with explicit operand matrices. B is
 // the generated matrix; it is transposed before use if opts.TransposeB
 // is set.
@@ -109,14 +143,7 @@ func (s *Simulator) MeasureGEMM(a, b *matrix.Matrix, opts Options) (*Measurement
 	if opts.Tile != (kernels.TileConfig{}) {
 		prob.Tile = opts.Tile
 	}
-	rep, err := activity.Analyze(prob, activity.Config{
-		SampleOutputs: opts.SampleOutputs,
-		Seed:          0xAC71,
-	})
-	if err != nil {
-		return nil, err
-	}
-	res, err := power.Evaluate(s.dev, prob, rep)
+	rep, res, err := Evaluate(s.dev, prob, opts.SampleOutputs)
 	if err != nil {
 		return nil, err
 	}
@@ -138,6 +165,7 @@ func (s *Simulator) MeasureGEMM(a, b *matrix.Matrix, opts Options) (*Measurement
 		EnergyPerIterJ: meas.EnergyPerIterJ,
 		BusyFrac:       meas.BusyFrac,
 		Throttled:      meas.Throttled,
+		MemBound:       res.MemBound,
 		SteadyTempC:    res.SteadyTempC,
 		Activity:       rep,
 		Breakdown:      res.Breakdown,
@@ -151,10 +179,7 @@ func (s *Simulator) MeasurePattern(dt matrix.DType, size int, pat patterns.Patte
 	if size <= 0 {
 		return nil, fmt.Errorf("core: size must be positive")
 	}
-	a := matrix.New(dt, size, size)
-	b := matrix.New(dt, size, size)
-	pat.Apply(a, rng.Derive(opts.Seed, "A"))
-	pat.Apply(b, rng.Derive(opts.Seed, "B"))
+	a, b := Operands(dt, size, pat, opts.Seed, opts.Seed)
 	return s.MeasureGEMM(a, b, opts)
 }
 

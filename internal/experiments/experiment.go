@@ -211,8 +211,7 @@ func analyze(cfg Config, exp Experiment, pt Point, dt matrix.DType, seed int, ca
 	}
 	rep, err := activity.AnalyzeWithStats(prob, activity.Config{
 		SampleOutputs: cfg.SampleOutputs,
-		// Fixed sampling seed: configurations differ only in inputs.
-		Seed: 0xAC71,
+		Seed:          activity.SampleSeed,
 	}, aStats, bStats)
 	if err != nil {
 		return analysis{}, err

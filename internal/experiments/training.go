@@ -11,7 +11,7 @@ import (
 	"runtime"
 	"sync"
 
-	"repro/internal/activity"
+	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/kernels"
 	"repro/internal/matrix"
@@ -141,20 +141,9 @@ func trainingRun(dev *device.Device, dt matrix.DType, cfg TrainingConfig, size i
 	// Distinct streams per pattern so corpora with repeated bases still
 	// produce independent draws; A and B always differ (§III).
 	base := rng.Derive(cfg.Seed+uint64(pi)*7919, "training/"+pat.Name)
-	a := matrix.New(dt, size, size)
-	pat.Apply(a, rng.Derive(base.Uint64(), "A"))
-	b := matrix.New(dt, size, size)
-	pat.Apply(b, rng.Derive(base.Uint64(), "B"))
-
-	prob := kernels.NewTransposedProblem(dt, a, b)
-	rep, err := activity.Analyze(prob, activity.Config{
-		SampleOutputs: cfg.SampleOutputs,
-		Seed:          0xAC71,
-	})
-	if err != nil {
-		return power.Sample{}, err
-	}
-	res, err := power.Evaluate(dev, prob, rep)
+	seedA, seedB := base.Uint64(), base.Uint64()
+	a, b := core.Operands(dt, size, pat, seedA, seedB)
+	rep, res, err := core.Evaluate(dev, kernels.NewTransposedProblem(dt, a, b), cfg.SampleOutputs)
 	if err != nil {
 		return power.Sample{}, err
 	}

@@ -1,7 +1,8 @@
-// Package kernels models the CUTLASS-style tiled GEMM kernels the paper
-// runs (§II–§III): threadblock tiling, wave scheduling onto SMs, and
-// functional (bit-accurate) execution of D = αA·B + βC for each of the
-// paper's four datatype setups.
+// Package kernels describes the CUTLASS-style tiled GEMM kernels the
+// paper runs (§II–§III): the problem shape and operand layout, the
+// threadblock tiling, and wave scheduling onto SMs. It does not execute
+// the GEMM; the exact per-datatype arithmetic of sampled output lanes
+// runs inside the activity walk (internal/activity).
 //
 // Two things about the kernel matter for input-dependent power:
 //
@@ -16,40 +17,9 @@ package kernels
 
 import (
 	"fmt"
-	"os"
 
 	"repro/internal/matrix"
 )
-
-// Inner-loop variant names reported by ActiveKernelVariant.
-const (
-	// VariantPortable is the pure-Go 4-wide lane kernel built on
-	// every architecture (and forced by the portable_kernels build
-	// tag or REPRO_PORTABLE_KERNELS=1).
-	VariantPortable = "portable"
-	// VariantWide is the amd64 4×2 register-tile micro-kernel.
-	VariantWide = "wide"
-)
-
-var activeVariant = probeKernelVariant()
-
-// probeKernelVariant selects the widest lane kernel this build and
-// architecture support. The wide variant only exists when the
-// arch-gated file is compiled in (amd64 without the portable_kernels
-// tag); REPRO_PORTABLE_KERNELS=1 forces the portable fallback at
-// runtime regardless. Every variant computes bit-identical results —
-// the probe only picks how the register tiling is shaped.
-func probeKernelVariant() string {
-	if !wideKernelsAvailable || os.Getenv("REPRO_PORTABLE_KERNELS") == "1" {
-		return VariantPortable
-	}
-	installWideKernels()
-	return VariantWide
-}
-
-// ActiveKernelVariant reports which inner-loop implementation Run
-// dispatches to.
-func ActiveKernelVariant() string { return activeVariant }
 
 // TileConfig is a CUTLASS-style threadblock tile shape.
 type TileConfig struct {
@@ -144,36 +114,34 @@ func Utilization(tiles, smCount int) float64 {
 	return u / float64(waves)
 }
 
-// Problem describes one GEMM execution: D = αA·Bop + βC where A is
-// (N,K) and Bop is the operand layout the kernel consumes, (K,M). The
-// paper's default zeroes C and sets α=1, β=1.
+// Problem describes one GEMM execution: D = A·Bop where A is (N,K) and
+// Bop is the operand layout the kernel consumes, (K,M). The paper's
+// runs zero C and set α=1, β=1, so the epilogue adds no activity and
+// is not modelled.
 type Problem struct {
 	DType matrix.DType
 	A     *matrix.Matrix // (N, K)
 	B     *matrix.Matrix // (K, M), already transposed if the experiment calls for it
-	C     *matrix.Matrix // (N, M) or nil for zero
-	Alpha float64
-	Beta  float64
-	Tile  TileConfig
+	// Tile is the threadblock tiling: it sets the wave count and
+	// utilization (internal/power) and the operand stream reuse
+	// factors (internal/activity).
+	Tile TileConfig
 
 	// BTransposed marks that B stores the (K,M) operand as its
 	// transpose: an (M,K) row-major matrix whose row j is operand
 	// column j. The paper's default consumes Bᵀ of a generated
 	// matrix, so callers can hand over the generated matrix directly
-	// and skip materializing the transpose — column-panel packing
-	// becomes a contiguous row copy and results are bit-identical.
+	// and skip materializing the transpose; every operand column is
+	// then a contiguous stored row.
 	BTransposed bool
 }
 
-// NewProblem builds a Problem with the paper's defaults (α=1, β=1,
-// C = 0, default tile for the datatype).
+// NewProblem builds a Problem with the default tile for the datatype.
 func NewProblem(dt matrix.DType, a, b *matrix.Matrix) *Problem {
 	return &Problem{
 		DType: dt,
 		A:     a,
 		B:     b,
-		Alpha: 1,
-		Beta:  1,
 		Tile:  DefaultTile(dt),
 	}
 }
@@ -232,12 +200,6 @@ func (p *Problem) Validate() error {
 	if p.A.Cols != bRows {
 		return fmt.Errorf("kernels: inner dimensions disagree: A is %dx%d, B is %dx%d",
 			p.A.Rows, p.A.Cols, bRows, bCols)
-	}
-	if p.C != nil {
-		if p.C.Rows != p.A.Rows || p.C.Cols != bCols {
-			return fmt.Errorf("kernels: C shape %dx%d does not match output %dx%d",
-				p.C.Rows, p.C.Cols, p.A.Rows, bCols)
-		}
 	}
 	return p.Tile.Validate()
 }

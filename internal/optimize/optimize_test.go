@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/device"
-	"repro/internal/kernels"
 	"repro/internal/matrix"
 	"repro/internal/patterns"
 	"repro/internal/rng"
@@ -248,14 +247,8 @@ func TestSortReductionDimReducesPowerAndPreservesOutputs(t *testing.T) {
 	if err := PermuteColumns(aiPerm, resI.Perm); err != nil {
 		t.Fatal(err)
 	}
-	origOut, err := kernelRun(matrix.INT8, ai, wi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	permOut, err := kernelRun(matrix.INT8, aiPerm, wiSorted)
-	if err != nil {
-		t.Fatal(err)
-	}
+	origOut := dotINT8(ai, wi)
+	permOut := dotINT8(aiPerm, wiSorted)
 	for i := range origOut {
 		if origOut[i] != permOut[i] {
 			t.Fatalf("INT8 outputs differ at %d: %v vs %v", i, origOut[i], permOut[i])
@@ -263,12 +256,19 @@ func TestSortReductionDimReducesPowerAndPreservesOutputs(t *testing.T) {
 	}
 }
 
-func kernelRun(dt matrix.DType, a, b *matrix.Matrix) ([]float64, error) {
-	out, err := kernels.Run(kernels.NewProblem(dt, a, b))
-	if err != nil {
-		return nil, err
+// dotINT8 is the exact INT8 GEMM a·b with int32 accumulation, row-major.
+func dotINT8(a, b *matrix.Matrix) []int32 {
+	out := make([]int32, a.Rows*b.Cols)
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < b.Cols; j++ {
+			var acc int32
+			for kk := 0; kk < a.Cols; kk++ {
+				acc += int32(int8(uint8(a.At(i, kk)))) * int32(int8(uint8(b.At(kk, j))))
+			}
+			out[i*b.Cols+j] = acc
+		}
 	}
-	return out.Vals, nil
+	return out
 }
 
 // The §V payoff test: shifting and pruning must reduce simulated power

@@ -32,6 +32,7 @@ import (
 	"runtime"
 
 	"repro/internal/activity"
+	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/experiments"
 	"repro/internal/kernels"
@@ -211,22 +212,7 @@ func (s *Server) Handler() http.Handler { return Handler(s.Core) }
 // clients can reproduce served numbers bit-for-bit.
 func Simulate(dev *device.Device, dt matrix.DType, pat patterns.Pattern, size, sampleOutputs int) (*activity.Report, *power.Result, error) {
 	base := rng.Derive(0x5E12FE, "serve/"+pat.Name)
-	a := matrix.New(dt, size, size)
-	pat.Apply(a, rng.Derive(base.Uint64(), "A"))
-	b := matrix.New(dt, size, size)
-	pat.Apply(b, rng.Derive(base.Uint64(), "B"))
-
-	prob := kernels.NewTransposedProblem(dt, a, b)
-	rep, err := activity.Analyze(prob, activity.Config{
-		SampleOutputs: sampleOutputs,
-		Seed:          0xAC71,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := power.Evaluate(dev, prob, rep)
-	if err != nil {
-		return nil, nil, err
-	}
-	return rep, res, nil
+	seedA, seedB := base.Uint64(), base.Uint64()
+	a, b := core.Operands(dt, size, pat, seedA, seedB)
+	return core.Evaluate(dev, kernels.NewTransposedProblem(dt, a, b), sampleOutputs)
 }
